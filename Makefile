@@ -15,23 +15,23 @@ lint:
 		$(PY) -m compileall -q src tests scripts; \
 	fi
 
-# tier-1 tests + ~5s save/recover micro-benchmark; writes BENCH_pipeline.json
+# tier-1 tests + ~5s save/recover micro-benchmark; writes benchmarks/results/BENCH_pipeline.json
 bench-smoke:
 	$(PY) scripts/bench_smoke.py
 
-# serial vs pipelined recovery accounting; writes BENCH_recovery.json
+# serial vs pipelined recovery accounting; writes benchmarks/results/BENCH_recovery.json
 bench-recovery:
 	$(PY) scripts/bench_recovery.py
 
-# sharded recover throughput + replica-down failover; writes BENCH_cluster.json
+# sharded recover throughput + replica-down failover; writes benchmarks/results/BENCH_cluster.json
 bench-cluster:
 	$(PY) scripts/bench_cluster.py
 
-# multi-tenant gateway under heavy-tailed load; writes BENCH_serving.json
+# multi-tenant gateway under heavy-tailed load; writes benchmarks/results/BENCH_serving.json
 bench-serving:
 	$(PY) scripts/bench_serving.py --smoke
 
-# fault-injection tests (fixed seeds) + chaos smoke; writes BENCH_chaos.json
+# fault-injection tests (fixed seeds) + chaos smoke; writes benchmarks/results/BENCH_chaos.json
 chaos:
 	PYTHONPATH=src $(PY) -m pytest -q tests/filestore/test_faults.py \
 		tests/filestore/test_segments.py \

@@ -1,22 +1,17 @@
 """One code path for benchmark artifacts.
 
-Every benchmark script historically wrote its ``BENCH_*.json`` twice —
-once at the repo root, once under ``benchmarks/results/`` — with two
-separately-serialized payloads that could (and did) drift.
-:func:`write_results` makes ``benchmarks/results/`` the canonical
-location: the payload is serialized once, written there, and *copied*
-byte-for-byte to the repo root for quick inspection.
+:func:`write_results` serializes a benchmark's payload once and writes it
+to ``benchmarks/results/<name>``, the only home of ``BENCH_*.json`` files.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: Canonical home of benchmark artifacts; the repo-root copy is a mirror.
+#: Home of benchmark artifacts.
 RESULTS_DIR = ROOT / "benchmarks" / "results"
 
 
@@ -32,9 +27,8 @@ def _obs_snapshot() -> dict | None:
     return registry.snapshot()
 
 
-def write_results(name: str, results: dict, mirror_to_root: bool = True) -> Path:
-    """Serialize ``results`` to ``benchmarks/results/<name>`` (canonical)
-    and copy the file to the repo root.  Returns the canonical path.
+def write_results(name: str, results: dict) -> Path:
+    """Serialize ``results`` to ``benchmarks/results/<name>``; returns the path.
 
     Every artifact carries an ``obs_metrics`` snapshot of the process-wide
     registry — whatever the benchmark's saves/recovers incremented — so a
@@ -46,11 +40,7 @@ def write_results(name: str, results: dict, mirror_to_root: bool = True) -> Path
         if snapshot is not None:
             results = dict(results)
             results["obs_metrics"] = snapshot
-    canonical = RESULTS_DIR / name
-    canonical.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {canonical.relative_to(ROOT)}")
-    if mirror_to_root:
-        mirror = ROOT / name
-        shutil.copy(canonical, mirror)
-        print(f"copied to {mirror.relative_to(ROOT)}")
-    return canonical
+    path = RESULTS_DIR / name
+    path.write_text(json.dumps(results, indent=2) + "\n")
+    print(f"wrote {path.relative_to(ROOT)}")
+    return path

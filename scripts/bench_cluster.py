@@ -13,9 +13,9 @@ network members, then measures tip-model recovery with cold caches:
   (``error_rate=1.0``), reads fail over to the surviving replicas; the
   recovered state must be bitwise identical to the healthy recovery.
 
-Writes ``BENCH_cluster.json`` into ``benchmarks/results/`` (canonical;
-copied to the repo root).  Exit status is non-zero unless both bars hold
-(``--no-check`` records without enforcing).
+Writes ``BENCH_cluster.json`` into ``benchmarks/results/``.  Exit status
+is non-zero unless both bars hold (``--no-check`` records without
+enforcing).
 
 Usage::
 

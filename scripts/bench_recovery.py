@@ -25,11 +25,11 @@ Two storage-efficiency sweeps ride along:
 * **dedup** — derived-model saves under content-defined chunking and the
   zlib codec, reporting the store's dedup and compression ratios.
 
-Writes ``BENCH_recovery.json`` into ``benchmarks/results/`` (canonical;
-copied to the repo root).  Exit status is non-zero unless pipelined
-recovery is >= 2x faster than serial on the PUA chain over LTE, compacted
-depth-16 recovery is <= 2x depth-1, and the dedup ratio is >= 1.5
-(``--no-check`` records without enforcing).
+Writes ``BENCH_recovery.json`` into ``benchmarks/results/``.  Exit
+status is non-zero unless pipelined recovery is >= 2x faster than serial
+on the PUA chain over LTE, compacted depth-16 recovery is <= 2x depth-1,
+and the dedup ratio is >= 1.5 (``--no-check`` records without
+enforcing).
 
 Usage::
 

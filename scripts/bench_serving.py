@@ -25,7 +25,8 @@ Gates (``--no-check`` skips enforcement, never measurement):
   stays within 2× its isolated baseline (plus a small absolute floor to
   absorb scheduler noise at sub-millisecond latencies).
 
-Results land in ``BENCH_serving.json`` with an obs snapshot attached.
+Results land in ``benchmarks/results/BENCH_serving.json`` with an obs
+snapshot attached.
 """
 
 from __future__ import annotations

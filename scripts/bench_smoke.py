@@ -6,13 +6,12 @@ MobileNetV2, and a chunked-vs-monolithic comparison over a ResNet-152
 chain of full snapshots with partial updates (the dedup sweet spot: every
 snapshot shares all but the classifier with its predecessor).
 
-Writes ``BENCH_pipeline.json`` into ``benchmarks/results/`` (canonical;
-copied to the repo root).  Exit status is non-zero if the tier-1 suite
-fails or (unless ``--no-check``) the chunked pipeline misses its
-acceptance bars: >= 30% fewer stored bytes and a better median
-time-to-save than the monolithic path on the partial-update chain, and
-the segment chunk layout saving >= 3x faster than file-per-chunk at
-equal durability while recovering within 1.05x.
+Writes ``BENCH_pipeline.json`` into ``benchmarks/results/``.  Exit
+status is non-zero if the tier-1 suite fails or (unless ``--no-check``)
+the chunked pipeline misses its acceptance bars: >= 30% fewer stored
+bytes and a better median time-to-save than the monolithic path on the
+partial-update chain, and an 800-chunk save costing exactly one group
+fsync batch while creating no file under ``chunks/`` but segment files.
 
 Usage::
 
@@ -161,16 +160,23 @@ def _counter_total(snapshot: dict, family: str) -> float:
     return sum(s["value"] for s in snapshot.get(family, {}).get("series", []))
 
 
-def segments_vs_files_benchmark(
-    workdir: Path, scale: float, chunks: int = 800, chunk_kb: int = 8
-) -> dict:
-    """Segment layout vs file-per-chunk at equal durability (fsync-before-ack).
+def _files_under(root: Path) -> set[str]:
+    """Relative paths of every regular file below ``root``."""
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
-    Both variants run with ``durability="group"``: no save is acknowledged
-    before its chunk bytes are fsynced.  File-per-chunk pays one fsync per
-    created file at the batch barrier; the segment layout appends every
-    chunk to one open segment and pays a single fsync for the whole batch.
-    The syscall proxy (files created + fsyncs) comes from the obs counters.
+
+def segment_save_benchmark(
+    workdir: Path, chunks: int = 800, chunk_kb: int = 8
+) -> dict:
+    """One many-chunk save, counted: fsync batches and files created.
+
+    Saves are acknowledged only after their chunk bytes are fsynced, and
+    the chunk store appends every chunk of a save to one open segment, so
+    an ``chunks``-chunk save must cost exactly one group-fsync batch and
+    create no file under ``chunks/`` other than segment files.  Both are
+    counts, independent of the machine.  A one-layer warm-up save first
+    creates the store's metadata files (refcounts, index checkpoint,
+    lock), so the listing before and after isolates the big save.
     """
     import numpy as np
 
@@ -178,65 +184,53 @@ def segments_vs_files_benchmark(
 
     rng = np.random.default_rng(7)
     state = {
-        f"layer_{index:04d}": rng.standard_normal(
-            chunk_kb * 1024 // 8
-        )
+        f"layer_{index:04d}": rng.standard_normal(chunk_kb * 1024 // 8)
         for index in range(chunks)
     }
     hashes = state_dict_hashes(state)
     payload_bytes = sum(a.nbytes for a in state.values())
 
-    variants = {}
-    for layout in ("files", "segments"):
-        store = FileStore(
-            workdir / f"sv-{layout}", layout=layout, durability="group"
-        )
-        before = obs.registry().snapshot()
+    store = FileStore(workdir / "segment-save")
+    warmup = {"warmup": np.zeros(4)}
+    store.save_state_chunks(warmup, state_dict_hashes(warmup))
+    chunk_root = store.chunks.root
+    files_before = _files_under(chunk_root)
+    before = obs.registry().snapshot()
+    started = time.perf_counter()
+    file_id = store.save_state_chunks(state, hashes)
+    save_seconds = time.perf_counter() - started
+    after = obs.registry().snapshot()
+    created = sorted(_files_under(chunk_root) - files_before)
+
+    recover_ms = []
+    for _ in range(5):
         started = time.perf_counter()
-        file_id = store.save_state_chunks(state, hashes)
-        save_seconds = time.perf_counter() - started
-        after = obs.registry().snapshot()
+        restored = store.recover_state_chunks(file_id)
+        recover_ms.append((time.perf_counter() - started) * 1e3)
+    assert len(restored) == chunks
 
-        recover_ms = []
-        for _ in range(5):
-            started = time.perf_counter()
-            restored = store.recover_state_chunks(file_id)
-            recover_ms.append((time.perf_counter() - started) * 1e3)
-        assert len(restored) == chunks
+    def delta(family: str) -> int:
+        return int(_counter_total(after, family) - _counter_total(before, family))
 
-        variants[layout] = {
-            "save_seconds": round(save_seconds, 4),
-            "save_mb_per_s": round(payload_bytes / save_seconds / 1e6, 2),
-            "recover_ms_median": round(statistics.median(recover_ms), 2),
-            "files_created": int(
-                _counter_total(after, "mmlib_chunk_files_created_total")
-                - _counter_total(before, "mmlib_chunk_files_created_total")
-            ),
-            "fsyncs": int(
-                _counter_total(after, "mmlib_chunk_fsyncs_total")
-                - _counter_total(before, "mmlib_chunk_fsyncs_total")
-            ),
-            "fsync_batches": int(
-                _counter_total(after, "mmlib_segment_fsync_batches_total")
-                - _counter_total(before, "mmlib_segment_fsync_batches_total")
-            ),
-        }
-
-    files, segments = variants["files"], variants["segments"]
-    speedup = files["save_seconds"] / segments["save_seconds"]
-    recover_ratio = (
-        segments["recover_ms_median"] / files["recover_ms_median"]
-    )
+    non_segment = [
+        path for path in created
+        if not (path.startswith("segments/") and path.endswith(".seg"))
+    ]
+    fsync_batches = delta("mmlib_segment_fsync_batches_total")
     return {
         "chunks": chunks,
         "chunk_kb": chunk_kb,
         "payload_bytes": payload_bytes,
-        "durability": "group",
-        **variants,
-        "save_speedup": round(speedup, 3),
-        "recover_ratio": round(recover_ratio, 3),
-        "meets_3x_save": speedup >= 3.0,
-        "recover_within_1_05": recover_ratio <= 1.05,
+        "save_seconds": round(save_seconds, 4),
+        "save_mb_per_s": round(payload_bytes / save_seconds / 1e6, 2),
+        "recover_ms_median": round(statistics.median(recover_ms), 2),
+        "fsyncs": delta("mmlib_chunk_fsyncs_total"),
+        "fsync_batches": fsync_batches,
+        "segment_appends": delta("mmlib_segment_appends_total"),
+        "segment_files_created": len(created) - len(non_segment),
+        "non_segment_files_created": len(non_segment),
+        "one_fsync_batch": fsync_batches == 1,
+        "no_per_chunk_files": not non_segment,
     }
 
 
@@ -361,21 +355,14 @@ def main() -> int:
               f"monolithic {chain['monolithic']['tts_ms_median']} ms "
               f"(x{chain['tts_speedup']})")
 
-        print("== chunk layout: segments vs file-per-chunk ==")
-        results["segments_vs_files"] = segments_vs_files_benchmark(
-            workdir, args.scale
-        )
-        layouts = results["segments_vs_files"]
-        print(f"save: segments {layouts['segments']['save_mb_per_s']} MB/s vs "
-              f"files {layouts['files']['save_mb_per_s']} MB/s "
-              f"(x{layouts['save_speedup']}); "
-              f"fsyncs {layouts['segments']['fsyncs']} vs "
-              f"{layouts['files']['fsyncs']}, files created "
-              f"{layouts['segments']['files_created']} vs "
-              f"{layouts['files']['files_created']}")
-        print(f"recover: segments {layouts['segments']['recover_ms_median']} ms "
-              f"vs files {layouts['files']['recover_ms_median']} ms "
-              f"(x{layouts['recover_ratio']})")
+        print("== chunk store: one 800-chunk save, counted ==")
+        results["segment_save"] = segment_save_benchmark(workdir)
+        counts = results["segment_save"]
+        print(f"save {counts['save_mb_per_s']} MB/s, "
+              f"{counts['fsync_batches']} fsync batch(es), "
+              f"{counts['segment_files_created']} segment file(s) and "
+              f"{counts['non_segment_files_created']} other file(s) created; "
+              f"recover {counts['recover_ms_median']} ms")
 
         print("== obs overhead: instrumented vs disabled ==")
         results["obs_overhead"] = obs_overhead_benchmark(workdir, args.scale)
@@ -398,13 +385,17 @@ def main() -> int:
             failed.append("chunked store saved < 30% bytes on the partial-update chain")
         if not chain["tts_improved"]:
             failed.append("chunked median TTS did not improve")
-        if not layouts["meets_3x_save"]:
+        if not counts["one_fsync_batch"]:
             failed.append(
-                "segment layout saved < 3x faster than file-per-chunk at "
-                "equal durability"
+                f"an {counts['chunks']}-chunk save took "
+                f"{counts['fsync_batches']} fsync batches, not 1"
             )
-        if not layouts["recover_within_1_05"]:
-            failed.append("segment layout recover exceeded 1.05x file-per-chunk")
+        if not counts["no_per_chunk_files"]:
+            failed.append(
+                f"an {counts['chunks']}-chunk save created "
+                f"{counts['non_segment_files_created']} non-segment files "
+                "under chunks/"
+            )
     for message in failed:
         print(f"FAIL: {message}", file=sys.stderr)
     return 1 if failed else 0

@@ -19,14 +19,14 @@ Exercises the robustness stack end to end, quickly:
   the cluster must converge (hints drained, anti-entropy backlog empty)
   through its *online* machinery alone — no offline ``fsck --repair``.
 
-Writes ``BENCH_chaos.json`` into ``benchmarks/results/`` (canonical;
-copied to the repo root) with the scenarios run, total retries taken,
-``repairs_needed`` — the count of unrepaired issues left anywhere — and
-the outage run's convergence time, all of which gate the exit status.
+Writes ``BENCH_chaos.json`` into ``benchmarks/results/`` with the
+scenarios run, total retries taken, ``repairs_needed`` — the count of
+unrepaired issues left anywhere — and the outage run's convergence time,
+all of which gate the exit status.
 
 Usage::
 
-    python scripts/chaos_smoke.py [--sweep-seeds 3] [--out BENCH_chaos.json] \\
+    python scripts/chaos_smoke.py [--sweep-seeds 3] \\
         [--outage-plan "kill:shard-1@6,restore:shard-1@16,kill:shard-2@20,restore:shard-2@30"]
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 import tempfile
 import time
@@ -342,7 +341,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sweep-seeds", type=int, default=3,
                         help="randomized-seed retry runs per approach")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_chaos.json"))
     parser.add_argument(
         "--outage-plan", default=DEFAULT_OUTAGE_PLAN, metavar="PLAN",
         help="scheduled cluster outages as action:member@op entries, "
@@ -391,10 +389,7 @@ def main() -> int:
 
     from _bench_results import write_results
 
-    canonical = write_results("BENCH_chaos.json", result)
-    out = Path(args.out)
-    if out.resolve() != (ROOT / "BENCH_chaos.json").resolve():
-        shutil.copy(canonical, out)
+    write_results("BENCH_chaos.json", result)
     print(json.dumps({k: v for k, v in result.items() if k != "scenarios"}, indent=2))
 
     if repairs_needed or bad_recoveries or lost_acked or unconverged:

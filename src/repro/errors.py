@@ -22,6 +22,7 @@ __all__ = [
     "StoreCorruptionError",
     "QuorumWriteError",
     "DeadlineExceededError",
+    "RetiredLayoutError",
 ]
 
 
@@ -65,4 +66,15 @@ class StoreCorruptionError(MMLibError, OSError):
     manifest's structure does not match what was recorded at save time.
     Corruption *at rest* cannot be retried away; corruption *in transit*
     (a bad read) can, so read paths may re-fetch on this error.
+    """
+
+
+class RetiredLayoutError(MMLibError):
+    """A store directory was written in an on-disk layout this version no
+    longer reads.
+
+    Raised on open instead of treating the unreadable data as absent: a
+    store that silently looked empty would make every manifest's chunks
+    appear missing, and fsck's orphan and refcount repair would act on
+    that false picture.
     """

@@ -10,13 +10,12 @@ from .network import (
 )
 from .segments import (
     DEFAULT_SEGMENT_BYTES,
-    SegmentChunkStore,
+    ChunkNotFoundError,
+    ChunkStore,
     SegmentCompactor,
 )
 from .store import (
     ChunkCache,
-    ChunkNotFoundError,
-    ChunkStore,
     FileNotFoundInStoreError,
     FileStore,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "FileNotFoundInStoreError",
     "FileStore",
-    "SegmentChunkStore",
     "SegmentCompactor",
     "available_codecs",
     "resolve_codec",

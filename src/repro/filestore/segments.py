@@ -1,15 +1,14 @@
-"""Append-only segment backend for the content-addressed chunk store.
+"""The content-addressed, ref-counted chunk store behind :class:`FileStore`.
 
-The file-per-chunk :class:`~repro.filestore.store.ChunkStore` pays one
-``open`` + ``write`` + ``rename`` (and, with durability, one ``fsync``)
-per chunk.  This backend instead appends chunk records to large
-append-only *segment* files and locates them through an in-memory index
+Chunk payloads are appended as records to large append-only *segment*
+files and located through an in-memory index
 (``digest -> (segment, offset, length, crc)``), LSM-style:
 
 * **Group fsync** — appends are acknowledged immediately and made
-  durable by one batched :meth:`SegmentChunkStore.flush` per save (the
-  store's ``"group"`` durability), so a thousand-chunk save costs one
-  fsync instead of a thousand.
+  durable by one batched :meth:`ChunkStore.flush` per save, so a
+  thousand-chunk save costs one fsync instead of a thousand.  Sealing a
+  segment, writing a compacted segment, and closing the store also
+  fsync; nothing else does.
 * **Sealed segments carry a footer** — a catalog of their records — so
   reopening a store bulk-loads the index from footers instead of
   rescanning payloads.  The index is also checkpointed incrementally to
@@ -21,6 +20,10 @@ append-only *segment* files and locates them through an in-memory index
   (``compaction.json``) and resumable: the atomic rename of the
   destination segment is the commit point, a crash before it rolls
   back, a crash after it rolls forward.
+
+Reference counts track how many manifests point at each chunk and live
+in ``refcounts.json``, serialized through an ``flock``-held lock file so
+multiple processes can share one store directory.
 
 On-disk format (all integers little-endian):
 
@@ -38,24 +41,36 @@ advances the logical end, so a retry overwrites the tear in place.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
 import threading
+import time
 import uuid
 import zlib
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from .. import obs
 from ..errors import StoreCorruptionError
-from .store import (
-    DEFAULT_TMP_GRACE_S,
-    ChunkNotFoundError,
-    ChunkStore,
-    _buffer_nbytes,
-)
+from . import codecs as chunk_codecs
 
-__all__ = ["SegmentChunkStore", "SegmentCompactor", "DEFAULT_SEGMENT_BYTES"]
+try:
+    import fcntl
+except ImportError:  # non-posix platform: single-process locking only
+    fcntl = None
+
+__all__ = [
+    "ChunkStore",
+    "ChunkNotFoundError",
+    "SegmentCompactor",
+    "DEFAULT_SEGMENT_BYTES",
+]
+
+#: Tmp files younger than this are assumed in-flight and never reaped —
+#: a concurrent saver may still be writing them.
+DEFAULT_TMP_GRACE_S = 600.0
 
 #: Segments roll (seal + start a new one) once records cross this size.
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
@@ -77,6 +92,16 @@ FOOTER_END_MAGIC = b"MMSE"
 FOOTER_TAIL = struct.Struct("<QI4s")
 
 
+class ChunkNotFoundError(KeyError):
+    """Raised when fetching a chunk digest the store does not hold."""
+
+
+def _buffer_nbytes(buffer) -> int:
+    if isinstance(buffer, memoryview):
+        return buffer.nbytes
+    return len(buffer)
+
+
 def _parse_seq(name: str) -> int | None:
     parts = name.split("-")
     if len(parts) >= 2 and parts[0] == "seg":
@@ -91,34 +116,47 @@ def _new_meta() -> dict:
     return {"scanned": 0, "total": 0, "sealed": False, "bad": False}
 
 
-class SegmentChunkStore(ChunkStore):
-    """Chunk store that appends records to large append-only segments.
+class ChunkStore:
+    """Content-addressed, ref-counted chunk storage on append-only segments.
 
-    Drop-in replacement for the file-per-chunk :class:`ChunkStore`: the
-    refcount plane (flock-serialized ``refcounts.json``), GC contract,
-    and the whole public surface are inherited; only the physical
-    payload primitives differ.  See the module docstring for the format
-    and durability model.
+    Chunks are written exactly once per distinct digest.  Reference
+    counts track how many manifests point at each chunk;
+    :meth:`release_refs` deletes chunks whose count drops to zero, and
+    :meth:`gc` sweeps orphans (e.g. chunks written by a save that crashed
+    before its manifest) and then compacts.  See the module docstring for
+    the on-disk format and the durability model.
     """
 
     def __init__(
         self,
-        root,
+        root: str | Path,
         tmp_grace_s: float = DEFAULT_TMP_GRACE_S,
-        durability: str = "group",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
         codec: str | None = None,
     ):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._refs_path = self.root / "refcounts.json"
+        self._lock_path = self.root / ".lock"
+        self.tmp_grace_s = float(tmp_grace_s)
         self.segment_bytes = int(segment_bytes)
         self.compact_threshold = float(compact_threshold)
-        super().__init__(
-            root, tmp_grace_s=tmp_grace_s, durability=durability, codec=codec
-        )
-
-    # -- open / index maintenance -------------------------------------------
-
-    def _init_physical(self) -> None:
+        #: At-rest compression codec for new chunk payloads.  Digests are
+        #: always over the uncompressed bytes, and decode is driven by the
+        #: payload frame, so stores with different codecs interoperate.
+        self.codec = chunk_codecs.resolve_codec(codec)
+        #: Optional chaos hook with the ``FaultInjector.fail_point``
+        #: signature, consulted by long-running maintenance (compaction).
+        self.fault_hook = None
+        # dedup/compression accounting (in-process, like the network
+        # store's transfer accounting): logical bytes offered by callers,
+        # bytes skipped because the digest was already stored, and framed
+        # bytes physically written
+        self._acct_lock = threading.Lock()
+        self.logical_bytes = 0
+        self.dedup_bytes = 0
+        self.stored_bytes = 0
         self.segments_dir = self.root / "segments"
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         self._checkpoint_path = self.root / "index.json"
@@ -134,6 +172,17 @@ class SegmentChunkStore(ChunkStore):
         self._read_files: dict[str, object] = {}
         self._seq = 0
         registry = obs.registry()
+        self._obs_fsyncs = registry.counter(
+            "mmlib_chunk_fsyncs_total", "fsync calls issued for chunk durability")
+        self._obs_logical = registry.counter(
+            "mmlib_chunks_logical_bytes_total",
+            "Uncompressed bytes offered to ChunkStore.put")
+        self._obs_dedup = registry.counter(
+            "mmlib_chunks_dedup_bytes_total",
+            "Uncompressed bytes skipped because the chunk already existed")
+        self._obs_stored = registry.counter(
+            "mmlib_chunks_stored_bytes_total",
+            "Framed (possibly compressed) bytes physically written")
         self._obs_appends = registry.counter(
             "mmlib_segment_appends_total", "Chunk records appended to segments")
         self._obs_batches = registry.counter(
@@ -156,6 +205,90 @@ class SegmentChunkStore(ChunkStore):
             self._resume_compaction_locked()
             self._refresh_locked()
             self._update_gauges_locked()
+
+    # -- codec framing / dedup accounting ------------------------------------
+
+    def _encode(self, buffer):
+        """At-rest payload for one chunk (see :mod:`repro.filestore.codecs`).
+
+        With the ``none`` codec the raw bytes pass through zero-copy
+        unless they collide with the frame magic, which the codec layer
+        escape-frames so decoding stays unambiguous.
+        """
+        if self.codec == "none":
+            view = buffer if isinstance(buffer, bytes) else memoryview(buffer).cast("B")
+            if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
+                return buffer
+        return chunk_codecs.encode(self.codec, buffer)
+
+    def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
+        """Record one put: deduped when ``stored_nbytes`` is ``None``."""
+        with self._acct_lock:
+            self.logical_bytes += raw_nbytes
+            if stored_nbytes is None:
+                self.dedup_bytes += raw_nbytes
+            else:
+                self.stored_bytes += stored_nbytes
+        self._obs_logical.inc(raw_nbytes)
+        if stored_nbytes is None:
+            self._obs_dedup.inc(raw_nbytes)
+        else:
+            self._obs_stored.inc(stored_nbytes)
+
+    def dedup_stats(self) -> dict:
+        """Dedup and compression accounting since this store was opened."""
+        with self._acct_lock:
+            logical = self.logical_bytes
+            dedup = self.dedup_bytes
+            stored = self.stored_bytes
+        written = logical - dedup
+        return {
+            "codec": self.codec,
+            "logical_bytes": logical,
+            "dedup_bytes": dedup,
+            "stored_bytes": stored,
+            "dedup_ratio": round(logical / written, 4) if written else None,
+            "compression_ratio": round(written / stored, 4) if stored else None,
+        }
+
+    def _tmp_expired(self, path: Path) -> bool:
+        """In-flight files get a grace age before they count as orphans."""
+        try:
+            return path.stat().st_mtime <= time.time() - self.tmp_grace_s
+        except FileNotFoundError:
+            return False
+
+    @staticmethod
+    def _check_digest(digest: str) -> None:
+        if not digest or "/" in digest or digest.startswith("."):
+            raise ValueError(f"invalid chunk digest: {digest!r}")
+
+    # -- locking / refcount persistence ------------------------------------
+
+    @contextlib.contextmanager
+    def _locked(self):
+        if fcntl is None:
+            yield
+            return
+        with open(self._lock_path, "a+") as lock_file:
+            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
+
+    def _load_refs(self) -> dict[str, int]:
+        try:
+            return json.loads(self._refs_path.read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            return {}
+
+    def _write_refs(self, refs: dict[str, int]) -> None:
+        tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
+        tmp.write_text(json.dumps(refs, sort_keys=True))
+        tmp.replace(self._refs_path)
+
+    # -- open / index maintenance -------------------------------------------
 
     def _load_checkpoint(self) -> None:
         try:
@@ -403,10 +536,6 @@ class SegmentChunkStore(ChunkStore):
             self._dirty = True
             self._index_dirty = True
             self._obs_appends.inc()
-            if self.durability == "chunk":
-                os.fsync(fileobj.fileno())
-                self._obs_fsyncs.inc()
-                self._dirty = False
             if self._active_end >= self.segment_bytes:
                 self._roll_locked()
         return True
@@ -458,11 +587,10 @@ class SegmentChunkStore(ChunkStore):
         footer = self._pack_footer({"end": self._active_end, "records": records})
         fileobj.seek(self._active_end)
         self._write_all(fileobj, footer)
-        if self.durability != "none":
-            os.fsync(fileobj.fileno())
-            self._obs_fsyncs.inc()
-            if self._dirty:
-                self._obs_batches.inc()
+        os.fsync(fileobj.fileno())
+        self._obs_fsyncs.inc()
+        if self._dirty:
+            self._obs_batches.inc()
         fileobj.close()
         meta["sealed"] = True
         meta["scanned"] = self._active_end + len(footer)
@@ -514,7 +642,7 @@ class SegmentChunkStore(ChunkStore):
                 raise StoreCorruptionError(
                     f"chunk {digest!r} is corrupt: segment record failed its "
                     f"CRC check")
-            return self._decode(data)
+            return chunk_codecs.decode(data)
 
     def _read_entry_locked(self, entry) -> bytes | None:
         name, off, length, _crc = entry
@@ -534,61 +662,213 @@ class SegmentChunkStore(ChunkStore):
         return data
 
     def size_of(self, digest: str) -> int | None:
+        """At-rest size of one chunk, or ``None`` when it is not stored."""
         self._check_digest(digest)
         with self._mutex:
             entry = self._index.get(digest)
         return None if entry is None else entry[2]
 
     def locate(self, digest: str) -> tuple[Path, int, int]:
+        """Physical location of one chunk: ``(segment path, offset, length)``.
+
+        Lets tooling (fsck damage drills, debuggers) find the stored bytes.
+        """
         with self._mutex:
             entry = self._index.get(digest)
             if entry is None:
                 raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}")
             return self.segments_dir / entry[0], entry[1], entry[2]
 
-    # -- physical primitives behind the inherited refcount/GC plane ----------
+    # -- deletion --------------------------------------------------------------
 
-    def _delete_payload(self, digest: str) -> int:
-        with self._mutex:
-            entry = self._index.pop(digest, None)
-            if entry is None:
-                return 0
-            self._index_dirty = True
-            return entry[2]
+    def _forget_locked(self, digest: str) -> int:
+        """Drop one chunk's index entry; returns the payload bytes freed.
 
-    def _flush_index(self) -> None:
-        with self._mutex:
-            if self._index_dirty:
-                self._write_checkpoint_locked()
-                self._update_gauges_locked()
+        The record stays in its segment as dead bytes until compaction
+        rewrites (or drops) the segment.
+        """
+        entry = self._index.pop(digest, None)
+        if entry is None:
+            return 0
+        self._index_dirty = True
+        return entry[2]
 
-    def _payload_entries(self) -> dict[str, int]:
-        with self._mutex:
-            return {digest: entry[2] for digest, entry in self._index.items()}
-
-    def _sweep_unreferenced(self, live: set) -> tuple[int, int]:
-        removed = 0
-        freed = 0
-        with self._mutex:
-            for digest in [d for d in self._index if d not in live]:
-                freed += self._delete_payload(digest)
-                removed += 1
-            # orphaned partial segments left by a crash mid-roll or
-            # mid-compaction get the same grace-age sweep as chunk tmps
-            for path in self.segments_dir.glob("*.tmp"):
-                if not self._tmp_expired(path):
-                    continue
-                try:
-                    size = path.stat().st_size
-                except FileNotFoundError:
-                    continue
-                path.unlink(missing_ok=True)
-                removed += 1
-                freed += size
-            self._drop_dead_segments_locked()
+    def _checkpoint_if_dirty_locked(self) -> None:
+        if self._index_dirty:
             self._write_checkpoint_locked()
             self._update_gauges_locked()
-        return removed, freed
+
+    def drop(self, digest: str) -> bool:
+        """Delete one chunk regardless of refcounts; True iff it existed.
+
+        Low-level repair/rollback primitive — normal deletion goes through
+        :meth:`release_refs`.
+        """
+        self._check_digest(digest)
+        with self._mutex:
+            if digest not in self._index:
+                return False
+            self._forget_locked(digest)
+            self._checkpoint_if_dirty_locked()
+        return True
+
+    # -- reference counting --------------------------------------------------
+
+    def add_refs(self, digests: Iterable[str]) -> None:
+        """Increment refcounts for ``digests`` (one batched update)."""
+        digests = list(digests)
+        if not digests:
+            return
+        with self._locked():
+            refs = self._load_refs()
+            for digest in digests:
+                refs[digest] = refs.get(digest, 0) + 1
+            self._write_refs(refs)
+
+    def release_refs(self, digests: Iterable[str]) -> list[str]:
+        """Decrement refcounts; delete and return chunks that hit zero."""
+        digests = list(digests)
+        if not digests:
+            return []
+        removed: list[str] = []
+        with self._locked():
+            refs = self._load_refs()
+            for digest in digests:
+                count = refs.get(digest, 0) - 1
+                if count > 0:
+                    refs[digest] = count
+                else:
+                    refs.pop(digest, None)
+                    removed.append(digest)
+            self._write_refs(refs)
+            with self._mutex:
+                for digest in removed:
+                    self._forget_locked(digest)
+                self._checkpoint_if_dirty_locked()
+        return removed
+
+    def refcount(self, digest: str) -> int:
+        return self._load_refs().get(digest, 0)
+
+    def export_refs(self) -> dict[str, int]:
+        """Snapshot of every stored refcount (rebalance/repair plumbing)."""
+        with self._locked():
+            return self._load_refs()
+
+    def import_refs(self, counts: Mapping[str, int]) -> None:
+        """Set refcounts for the given digests (overwriting existing ones).
+
+        Used when chunk ownership moves between stores: the receiving
+        store inherits the relinquishing store's counts verbatim instead
+        of replaying one :meth:`add_refs` per historical manifest.
+        """
+        counts = {d: int(c) for d, c in counts.items() if c > 0}
+        if not counts:
+            return
+        with self._locked():
+            refs = self._load_refs()
+            refs.update(counts)
+            self._write_refs(refs)
+
+    def forget_refs(self, digests: Iterable[str]) -> None:
+        """Drop refcount entries without touching chunk payloads.
+
+        The relinquishing side of a chunk migration: the bytes were
+        already handed to the new owner, so decrement-and-delete
+        (:meth:`release_refs`) would be wrong.
+        """
+        digests = set(digests)
+        if not digests:
+            return
+        with self._locked():
+            refs = self._load_refs()
+            remaining = {d: c for d, c in refs.items() if d not in digests}
+            if len(remaining) != len(refs):
+                self._write_refs(remaining)
+
+    def gc(self) -> dict[str, int]:
+        """Delete unreferenced chunks and *expired* partial segments, then
+        compact; returns a stats dict.
+
+        Partial ``*.tmp`` segments younger than ``tmp_grace_s`` are left
+        alone: a concurrent compaction may still be writing them.
+        """
+        removed = 0
+        freed = 0
+        with self._locked():
+            refs = self._load_refs()
+            live = {d for d, count in refs.items() if count > 0}
+            if live != set(refs):
+                self._write_refs({d: refs[d] for d in live})
+            with self._mutex:
+                for digest in [d for d in self._index if d not in live]:
+                    freed += self._forget_locked(digest)
+                    removed += 1
+                # orphaned partial segments left by a crash mid-roll or
+                # mid-compaction
+                for path in self.segments_dir.glob("*.tmp"):
+                    if not self._tmp_expired(path):
+                        continue
+                    try:
+                        size = path.stat().st_size
+                    except FileNotFoundError:
+                        continue
+                    path.unlink(missing_ok=True)
+                    removed += 1
+                    freed += size
+                self._drop_dead_segments_locked()
+                self._write_checkpoint_locked()
+                self._update_gauges_locked()
+        return {
+            "chunks_removed": removed,
+            "bytes_freed": freed,
+            "segments_compacted": self.compact()["segments_compacted"],
+        }
+
+    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
+        """Cross-check stored refcounts against ``expected_refs`` (fsck).
+
+        ``expected_refs`` is the ground truth recomputed from the live
+        manifests.  Reports (and with ``repair`` fixes) leaked or missing
+        refcounts and deletes orphan chunks nothing references.
+        """
+        expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
+        with self._locked():
+            refs = self._load_refs()
+            ref_fixes = {
+                digest: (refs.get(digest, 0), expected.get(digest, 0))
+                for digest in set(refs) | set(expected)
+                if refs.get(digest, 0) != expected.get(digest, 0)
+            }
+            with self._mutex:
+                orphans = sorted(d for d in self._index if d not in expected)
+                orphan_bytes = sum(self._index[d][2] for d in orphans)
+                if repair:
+                    if ref_fixes:
+                        self._write_refs(expected)
+                    for digest in orphans:
+                        self._forget_locked(digest)
+                    self._checkpoint_if_dirty_locked()
+        return {
+            "ref_fixes": ref_fixes,
+            "orphan_chunks_removed": orphans,
+            "orphan_bytes": orphan_bytes,
+        }
+
+    # -- accounting -----------------------------------------------------------
+
+    def chunk_ids(self) -> list[str]:
+        with self._mutex:
+            return sorted(self._index)
+
+    def total_bytes(self) -> int:
+        """At-rest bytes held by live chunk payloads (deduplicated storage)."""
+        with self._mutex:
+            return sum(entry[2] for entry in self._index.values())
+
+    def __len__(self) -> int:
+        with self._mutex:
+            return len(self._index)
 
     def _drop_dead_segments_locked(self) -> None:
         """Unlink segments no index entry references.
@@ -608,11 +888,6 @@ class SegmentChunkStore(ChunkStore):
             path.unlink(missing_ok=True)
             del self._segmeta[name]
             self._index_dirty = True
-
-    def gc(self) -> dict[str, int]:
-        stats = super().gc()
-        stats["segments_compacted"] = self.compact()["segments_compacted"]
-        return stats
 
     # -- compaction -----------------------------------------------------------
 
@@ -695,9 +970,8 @@ class SegmentChunkStore(ChunkStore):
                     [d, e[1], e[2], e[3]] for d, e in new_entries.items())
                 out.write(self._pack_footer({"end": offset, "records": records}))
                 out.flush()
-                if self.durability != "none":
-                    os.fsync(out.fileno())
-                    self._obs_fsyncs.inc()
+                os.fsync(out.fileno())
+                self._obs_fsyncs.inc()
         except BaseException:
             # crash/corruption before the commit point: the journal and a
             # partial tmp remain; resume (or the grace sweep) rolls back
@@ -905,7 +1179,7 @@ class SegmentChunkStore(ChunkStore):
         """Seal nothing, just release file handles (tests/bench hygiene)."""
         with self._mutex:
             if self._active_file is not None:
-                if self._dirty and self.durability != "none":
+                if self._dirty:
                     os.fsync(self._active_file.fileno())
                     self._obs_fsyncs.inc()
                     self._dirty = False
@@ -924,7 +1198,7 @@ class SegmentCompactor:
 
     Mirrors the cluster rebalancer's lifecycle: ``start``/``stop`` (or a
     ``with`` block) around a loop of :meth:`run_once` calls, each of
-    which delegates to :meth:`SegmentChunkStore.compact` and records the
+    which delegates to :meth:`ChunkStore.compact` and records the
     result.  Compaction errors are reported as obs events, never raised
     into the host process.
     """

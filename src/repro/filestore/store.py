@@ -15,7 +15,6 @@ manifests and garbage-collected when the last manifest goes away.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -31,16 +30,17 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .. import obs
-from ..errors import StoreCorruptionError, TransientStoreError
+from ..errors import RetiredLayoutError, StoreCorruptionError, TransientStoreError
 from . import codecs as chunk_codecs
 from .cdc import DEFAULT_TARGET_BYTES as DEFAULT_CDC_TARGET_BYTES
 from .cdc import split_buffer
 from .journal import JOURNAL_SUFFIX, SaveJournal
-
-try:
-    import fcntl
-except ImportError:  # non-posix platform: single-process locking only
-    fcntl = None
+from .segments import (
+    DEFAULT_TMP_GRACE_S,
+    ChunkNotFoundError,
+    ChunkStore,
+    _buffer_nbytes,
+)
 
 __all__ = [
     "FileStore",
@@ -75,25 +75,9 @@ CHUNK_DIR_NAME = "chunks"
 #: Directory (under the store root) holding per-save intent journals.
 JOURNAL_DIR_NAME = "journal"
 
-#: Tmp files younger than this are assumed in-flight and never reaped —
-#: a concurrent saver may still be writing them (see PR-2 satellite fix).
-DEFAULT_TMP_GRACE_S = 600.0
-
-#: Durability levels for chunk writes.  ``"none"`` never fsyncs (the
-#: historical file-per-chunk behavior), ``"chunk"`` fsyncs every write
-#: before acknowledging it, and ``"group"`` defers durability to one
-#: batched :meth:`ChunkStore.flush` per save — fsync-before-ack at the
-#: manifest boundary instead of per chunk.
-DURABILITY_MODES = ("none", "group", "chunk")
-
-#: Supported physical chunk layouts behind :class:`FileStore`.
-CHUNK_LAYOUTS = ("files", "segments")
-
-#: Layout used for brand-new stores when none is requested explicitly.
-DEFAULT_LAYOUT = "segments"
-
-#: Environment override for the default layout of brand-new stores.
-LAYOUT_ENV_VAR = "REPRO_CHUNK_LAYOUT"
+#: Chunk directory of the retired file-per-chunk layout (one file per
+#: digest).  A store that still holds one is refused, not reinterpreted.
+RETIRED_OBJECTS_DIR_NAME = "objects"
 
 #: Default byte budget for an in-process hot-chunk LRU (see :class:`ChunkCache`).
 DEFAULT_CHUNK_CACHE_BYTES = 256 * 1024 * 1024
@@ -101,16 +85,6 @@ DEFAULT_CHUNK_CACHE_BYTES = 256 * 1024 * 1024
 
 class FileNotFoundInStoreError(KeyError):
     """Raised when recovering a file id that was never saved (or deleted)."""
-
-
-class ChunkNotFoundError(KeyError):
-    """Raised when fetching a chunk digest the store does not hold."""
-
-
-def _buffer_nbytes(buffer) -> int:
-    if isinstance(buffer, memoryview):
-        return buffer.nbytes
-    return len(buffer)
 
 
 def layer_chunk_digests(meta: Mapping) -> list[str]:
@@ -273,449 +247,6 @@ class _SingleFlight:
             event.set()
 
 
-class ChunkStore:
-    """Content-addressed, ref-counted chunk storage.
-
-    Chunks live under ``root/objects/<digest>`` and are written exactly
-    once per distinct digest (writes are atomic tmp+rename, so concurrent
-    writers of the same content converge on one file).  Reference counts
-    track how many manifests point at each chunk; :meth:`release_refs`
-    deletes chunks whose count drops to zero, and :meth:`gc` sweeps
-    orphans (e.g. chunks written by a save that crashed before its
-    manifest).  Refcount updates are serialized through an ``flock``-held
-    lock file, so multiple processes can share one store directory.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        tmp_grace_s: float = DEFAULT_TMP_GRACE_S,
-        durability: str = "none",
-        codec: str | None = None,
-    ):
-        if durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
-            )
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._refs_path = self.root / "refcounts.json"
-        self._lock_path = self.root / ".lock"
-        self.tmp_grace_s = float(tmp_grace_s)
-        self.durability = durability
-        #: At-rest compression codec for new chunk payloads.  Digests are
-        #: always over the uncompressed bytes, and decode is driven by the
-        #: payload frame, so stores with different codecs interoperate.
-        self.codec = chunk_codecs.resolve_codec(codec)
-        #: Optional chaos hook with the ``FaultInjector.fail_point``
-        #: signature, consulted by long-running maintenance (compaction).
-        self.fault_hook = None
-        # dedup/compression accounting (in-process, like the network
-        # store's transfer accounting): logical bytes offered by callers,
-        # bytes skipped because the digest was already stored, and framed
-        # bytes physically written
-        self._acct_lock = threading.Lock()
-        self.logical_bytes = 0
-        self.dedup_bytes = 0
-        self.stored_bytes = 0
-        registry = obs.registry()
-        self._obs_fsyncs = registry.counter(
-            "mmlib_chunk_fsyncs_total", "fsync calls issued for chunk durability")
-        self._obs_logical = registry.counter(
-            "mmlib_chunks_logical_bytes_total",
-            "Uncompressed bytes offered to ChunkStore.put")
-        self._obs_dedup = registry.counter(
-            "mmlib_chunks_dedup_bytes_total",
-            "Uncompressed bytes skipped because the chunk already existed")
-        self._obs_stored = registry.counter(
-            "mmlib_chunks_stored_bytes_total",
-            "Framed (possibly compressed) bytes physically written")
-        self._init_physical()
-
-    # -- codec framing / dedup accounting ------------------------------------
-
-    def _encode(self, buffer):
-        """At-rest payload for one chunk (see :mod:`repro.filestore.codecs`).
-
-        With the ``none`` codec the raw bytes pass through zero-copy
-        unless they collide with the frame magic, which the codec layer
-        escape-frames so decoding stays unambiguous.
-        """
-        if self.codec == "none":
-            view = buffer if isinstance(buffer, bytes) else memoryview(buffer).cast("B")
-            if bytes(view[:4]) != chunk_codecs.FRAME_MAGIC:
-                return buffer
-        return chunk_codecs.encode(self.codec, buffer)
-
-    @staticmethod
-    def _decode(payload: bytes) -> bytes:
-        """Uncompressed chunk bytes for one at-rest payload."""
-        return chunk_codecs.decode(payload)
-
-    def _account_put(self, raw_nbytes: int, stored_nbytes: int | None = None) -> None:
-        """Record one put: deduped when ``stored_nbytes`` is ``None``."""
-        with self._acct_lock:
-            self.logical_bytes += raw_nbytes
-            if stored_nbytes is None:
-                self.dedup_bytes += raw_nbytes
-            else:
-                self.stored_bytes += stored_nbytes
-        self._obs_logical.inc(raw_nbytes)
-        if stored_nbytes is None:
-            self._obs_dedup.inc(raw_nbytes)
-        else:
-            self._obs_stored.inc(stored_nbytes)
-
-    def dedup_stats(self) -> dict:
-        """Dedup and compression accounting since this store was opened."""
-        with self._acct_lock:
-            logical = self.logical_bytes
-            dedup = self.dedup_bytes
-            stored = self.stored_bytes
-        written = logical - dedup
-        return {
-            "codec": self.codec,
-            "logical_bytes": logical,
-            "dedup_bytes": dedup,
-            "stored_bytes": stored,
-            "dedup_ratio": round(logical / written, 4) if written else None,
-            "compression_ratio": round(written / stored, 4) if stored else None,
-        }
-
-    def _init_physical(self) -> None:
-        """Create the physical layout (hook for alternate backends)."""
-        self.objects_dir = self.root / "objects"
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        self._pending_sync: list[Path] = []
-        self._pending_lock = threading.Lock()
-        self._obs_files_created = obs.registry().counter(
-            "mmlib_chunk_files_created_total",
-            "Chunk files created (file-per-chunk layout)")
-
-    def _tmp_expired(self, path: Path) -> bool:
-        """In-flight tmp files get a grace age before they count as orphans."""
-        try:
-            return path.stat().st_mtime <= time.time() - self.tmp_grace_s
-        except FileNotFoundError:
-            return False
-
-    # -- locking / refcount persistence ------------------------------------
-
-    @contextlib.contextmanager
-    def _locked(self):
-        if fcntl is None:
-            yield
-            return
-        with open(self._lock_path, "a+") as lock_file:
-            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
-
-    def _load_refs(self) -> dict[str, int]:
-        try:
-            return json.loads(self._refs_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-
-    def _write_refs(self, refs: dict[str, int]) -> None:
-        tmp = self._refs_path.with_name(f"refcounts-{uuid.uuid4().hex[:8]}.tmp")
-        tmp.write_text(json.dumps(refs, sort_keys=True))
-        tmp.replace(self._refs_path)
-
-    # -- chunk data ---------------------------------------------------------
-
-    @staticmethod
-    def _check_digest(digest: str) -> None:
-        if not digest or "/" in digest or digest.startswith("."):
-            raise ValueError(f"invalid chunk digest: {digest!r}")
-
-    def _chunk_path(self, digest: str) -> Path:
-        self._check_digest(digest)
-        return self.objects_dir / digest
-
-    def has(self, digest: str) -> bool:
-        return self._chunk_path(digest).exists()
-
-    def put(self, digest: str, buffer) -> bool:
-        """Store ``buffer`` under ``digest`` if absent; True iff written.
-
-        ``buffer`` may be any bytes-like object (``memoryview``s are
-        written without an intermediate copy).  Content-addressing makes
-        the write idempotent: an existing chunk is never rewritten.
-        """
-        path = self._chunk_path(digest)
-        raw_nbytes = _buffer_nbytes(buffer)
-        if path.exists():
-            self._account_put(raw_nbytes)
-            return False
-        payload = self._encode(buffer)
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        with open(tmp, "wb") as fileobj:
-            fileobj.write(payload)
-            if self.durability == "chunk":
-                fileobj.flush()
-                os.fsync(fileobj.fileno())
-                self._obs_fsyncs.inc()
-        tmp.replace(path)
-        self._account_put(raw_nbytes, stored_nbytes=_buffer_nbytes(payload))
-        self._obs_files_created.inc()
-        if self.durability == "group":
-            with self._pending_lock:
-                self._pending_sync.append(path)
-        return True
-
-    def flush(self) -> int:
-        """Make every acknowledged-but-unsynced chunk durable; fsync count.
-
-        ``"group"`` durability defers per-chunk fsyncs to this one batched
-        call (a save flushes once before publishing its manifest).  Under
-        the other modes nothing is ever pending and this is a no-op.
-        """
-        if self.durability != "group":
-            return 0
-        with self._pending_lock:
-            pending, self._pending_sync = self._pending_sync, []
-        synced = 0
-        for path in pending:
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except FileNotFoundError:
-                continue  # raced with a delete: nothing left to sync
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            synced += 1
-        if synced:
-            self._obs_fsyncs.inc(synced)
-        return synced
-
-    def locate(self, digest: str) -> tuple[Path, int, int]:
-        """Physical location of one chunk: ``(path, offset, length)``.
-
-        Lets layout-agnostic tooling (fsck damage drills, debuggers) find
-        the stored bytes without knowing the backend's file geometry.
-        """
-        path = self._chunk_path(digest)
-        try:
-            return path, 0, path.stat().st_size
-        except FileNotFoundError:
-            raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}") from None
-
-    def _delete_payload(self, digest: str) -> int:
-        """Remove one chunk's stored bytes; returns the bytes freed."""
-        path = self._chunk_path(digest)
-        try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            return 0
-        path.unlink(missing_ok=True)
-        return size
-
-    def _flush_index(self) -> None:
-        """Persist index mutations (no-op here: the filesystem is the index)."""
-
-    def write_torn(self, digest: str, buffer) -> Path:
-        """Simulate a torn write: persist only a partial tmp file.
-
-        Used by fault injection — the final chunk file is never created,
-        matching the atomic tmp+rename protocol, so the tear is exactly
-        the leftover a real mid-write crash leaves behind.
-        """
-        path = self._chunk_path(digest)
-        tmp = path.with_name(f"{path.name}-{uuid.uuid4().hex[:8]}.tmp")
-        data = bytes(buffer)
-        with open(tmp, "wb") as fileobj:
-            fileobj.write(data[: max(1, len(data) // 2)])
-        return tmp
-
-    def get(self, digest: str) -> bytes:
-        path = self._chunk_path(digest)
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            raise ChunkNotFoundError(f"no stored chunk with digest {digest!r}") from None
-        return self._decode(payload)
-
-    def drop(self, digest: str) -> bool:
-        """Unlink one chunk file regardless of refcounts; True iff removed.
-
-        Low-level repair/rollback primitive — normal deletion goes through
-        :meth:`release_refs`.
-        """
-        existed = self.has(digest)
-        if existed:
-            self._delete_payload(digest)
-            self._flush_index()
-        return existed
-
-    def size_of(self, digest: str) -> int | None:
-        """On-disk size of one chunk, or ``None`` when it is not stored."""
-        try:
-            return self._chunk_path(digest).stat().st_size
-        except FileNotFoundError:
-            return None
-
-    # -- reference counting --------------------------------------------------
-
-    def add_refs(self, digests: Iterable[str]) -> None:
-        """Increment refcounts for ``digests`` (one batched update)."""
-        digests = list(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._load_refs()
-            for digest in digests:
-                refs[digest] = refs.get(digest, 0) + 1
-            self._write_refs(refs)
-
-    def release_refs(self, digests: Iterable[str]) -> list[str]:
-        """Decrement refcounts; delete and return chunks that hit zero."""
-        digests = list(digests)
-        if not digests:
-            return []
-        removed: list[str] = []
-        with self._locked():
-            refs = self._load_refs()
-            for digest in digests:
-                count = refs.get(digest, 0) - 1
-                if count > 0:
-                    refs[digest] = count
-                else:
-                    refs.pop(digest, None)
-                    removed.append(digest)
-            self._write_refs(refs)
-            for digest in removed:
-                self._delete_payload(digest)
-            if removed:
-                self._flush_index()
-        return removed
-
-    def refcount(self, digest: str) -> int:
-        return self._load_refs().get(digest, 0)
-
-    def export_refs(self) -> dict[str, int]:
-        """Snapshot of every stored refcount (rebalance/repair plumbing)."""
-        with self._locked():
-            return self._load_refs()
-
-    def import_refs(self, counts: Mapping[str, int]) -> None:
-        """Set refcounts for the given digests (overwriting existing ones).
-
-        Used when chunk ownership moves between stores: the receiving
-        store inherits the relinquishing store's counts verbatim instead
-        of replaying one :meth:`add_refs` per historical manifest.
-        """
-        counts = {d: int(c) for d, c in counts.items() if c > 0}
-        if not counts:
-            return
-        with self._locked():
-            refs = self._load_refs()
-            refs.update(counts)
-            self._write_refs(refs)
-
-    def forget_refs(self, digests: Iterable[str]) -> None:
-        """Drop refcount entries without touching chunk files.
-
-        The relinquishing side of a chunk migration: the bytes were
-        already handed to the new owner, so decrement-and-delete
-        (:meth:`release_refs`) would be wrong.
-        """
-        digests = set(digests)
-        if not digests:
-            return
-        with self._locked():
-            refs = self._load_refs()
-            remaining = {d: c for d, c in refs.items() if d not in digests}
-            if len(remaining) != len(refs):
-                self._write_refs(remaining)
-
-    def gc(self) -> dict[str, int]:
-        """Delete unreferenced chunks and *expired* tmp files; stats dict.
-
-        Tmp files younger than ``tmp_grace_s`` are left alone: a
-        concurrent in-flight saver may still be writing them, and reaping
-        a live tmp file would tear that save's chunk from under it.
-        """
-        with self._locked():
-            refs = self._load_refs()
-            live = {d for d, count in refs.items() if count > 0}
-            if live != set(refs):
-                self._write_refs({d: refs[d] for d in live})
-            removed, freed = self._sweep_unreferenced(live)
-        return {"chunks_removed": removed, "bytes_freed": freed}
-
-    def _sweep_unreferenced(self, live: set) -> tuple[int, int]:
-        """Delete dead payloads and expired tmp files (runs under the lock)."""
-        removed = 0
-        freed = 0
-        for path in self.objects_dir.iterdir():
-            if not path.is_file():
-                continue
-            if path.name.endswith(".tmp"):
-                if not self._tmp_expired(path):
-                    continue
-            elif path.name in live:
-                continue
-            freed += path.stat().st_size
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed, freed
-
-    def reconcile(self, expected_refs: Mapping[str, int], repair: bool = True) -> dict:
-        """Cross-check stored refcounts against ``expected_refs`` (fsck).
-
-        ``expected_refs`` is the ground truth recomputed from the live
-        manifests.  Reports (and with ``repair`` fixes) leaked or missing
-        refcounts and deletes orphan chunk files nothing references.
-        """
-        expected = {d: int(c) for d, c in expected_refs.items() if c > 0}
-        with self._locked():
-            refs = self._load_refs()
-            ref_fixes = {
-                digest: (refs.get(digest, 0), expected.get(digest, 0))
-                for digest in set(refs) | set(expected)
-                if refs.get(digest, 0) != expected.get(digest, 0)
-            }
-            entries = self._payload_entries()
-            orphans = sorted(d for d in entries if d not in expected)
-            orphan_bytes = sum(entries[d] for d in orphans)
-            if repair:
-                if ref_fixes:
-                    self._write_refs(expected)
-                for digest in orphans:
-                    self._delete_payload(digest)
-                if orphans:
-                    self._flush_index()
-        return {
-            "ref_fixes": ref_fixes,
-            "orphan_chunks_removed": orphans,
-            "orphan_bytes": orphan_bytes,
-        }
-
-    # -- accounting -----------------------------------------------------------
-
-    def _payload_entries(self) -> dict[str, int]:
-        """Stored ``digest -> payload size`` map (accounting/fsck hook)."""
-        return {
-            p.name: p.stat().st_size
-            for p in self.objects_dir.iterdir()
-            if p.is_file() and not p.name.endswith(".tmp")
-        }
-
-    def chunk_ids(self) -> list[str]:
-        return sorted(self._payload_entries())
-
-    def total_bytes(self) -> int:
-        """Physical bytes held by chunk payloads (deduplicated storage)."""
-        return sum(self._payload_entries().values())
-
-    def __len__(self) -> int:
-        return len(self.chunk_ids())
-
-
 class FileStore:
     """Directory-backed blob store addressed by generated file ids.
 
@@ -763,8 +294,6 @@ class FileStore:
         verify_reads: bool | None = None,
         workers: int = 0,
         chunk_cache: "ChunkCache | int | None" = None,
-        layout: str | None = None,
-        durability: str | None = None,
         segment_bytes: int | None = None,
         codec: str | None = None,
         cdc: bool | None = None,
@@ -772,18 +301,16 @@ class FileStore:
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.layout = self._resolve_layout(layout)
+        retired = self.root / CHUNK_DIR_NAME / RETIRED_OBJECTS_DIR_NAME
+        if retired.is_dir():
+            raise RetiredLayoutError(
+                f"{self.root} holds chunks in the retired file-per-chunk "
+                f"layout ({retired}); this version reads only segment stores"
+            )
         self.codec = chunk_codecs.resolve_codec(codec)
         self.cdc = self._resolve_cdc(cdc)
         self.cdc_target_bytes = (
             int(cdc_target_bytes) if cdc_target_bytes else DEFAULT_CDC_TARGET_BYTES
-        )
-        if durability is not None and durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, got {durability!r}"
-            )
-        self.durability = durability or (
-            "group" if self.layout == "segments" else "none"
         )
         self.segment_bytes = segment_bytes
         self.faults = faults
@@ -824,28 +351,6 @@ class FileStore:
             except FileNotFoundError:
                 pass
 
-    def _resolve_layout(self, layout: str | None) -> str:
-        """Pick the chunk layout: explicit > on-disk > env var > default.
-
-        An existing store keeps whatever layout its chunk directory was
-        created with, so reopening never silently migrates data.
-        """
-        if layout is not None:
-            if layout not in CHUNK_LAYOUTS:
-                raise ValueError(
-                    f"layout must be one of {CHUNK_LAYOUTS}, got {layout!r}"
-                )
-            return layout
-        chunk_root = self.root / CHUNK_DIR_NAME
-        if (chunk_root / "segments").is_dir():
-            return "segments"
-        if (chunk_root / "objects").is_dir():
-            return "files"
-        env = os.environ.get(LAYOUT_ENV_VAR, "")
-        if env in CHUNK_LAYOUTS:
-            return env
-        return DEFAULT_LAYOUT
-
     @staticmethod
     def _resolve_cdc(cdc: bool | None) -> bool:
         """Content-defined chunking: explicit flag > env var > off.
@@ -861,26 +366,15 @@ class FileStore:
     def chunks(self) -> ChunkStore:
         """The store's content-addressed chunk substore (lazily created)."""
         if self._chunks is None:
-            if self.layout == "segments":
-                from .segments import SegmentChunkStore
-
-                kwargs = {}
-                if self.segment_bytes is not None:
-                    kwargs["segment_bytes"] = self.segment_bytes
-                self._chunks = SegmentChunkStore(
-                    self.root / CHUNK_DIR_NAME,
-                    tmp_grace_s=self.tmp_grace_s,
-                    durability=self.durability,
-                    codec=self.codec,
-                    **kwargs,
-                )
-            else:
-                self._chunks = ChunkStore(
-                    self.root / CHUNK_DIR_NAME,
-                    tmp_grace_s=self.tmp_grace_s,
-                    durability=self.durability,
-                    codec=self.codec,
-                )
+            kwargs = {}
+            if self.segment_bytes is not None:
+                kwargs["segment_bytes"] = self.segment_bytes
+            self._chunks = ChunkStore(
+                self.root / CHUNK_DIR_NAME,
+                tmp_grace_s=self.tmp_grace_s,
+                codec=self.codec,
+                **kwargs,
+            )
         return self._chunks
 
     # -- fault/retry plumbing ---------------------------------------------------
@@ -1582,7 +1076,7 @@ class FileStore:
         independent of how much of it is deduplicated or compressed on
         disk (see :meth:`total_bytes` for the physical view).  Layer
         sizes come from the manifest's dtype/shape metadata, so the
-        answer is the same on every layout and codec.
+        answer is the same for every codec.
         """
         size = self._blob_size(file_id)
         if self.is_manifest_id(file_id):

@@ -23,6 +23,14 @@ request up it subtracts the queue wait and enters
 loops and quorum paths see the *client's* budget.  A request whose
 budget died in the queue fails immediately with the typed ``deadline``
 error — never a hung socket.
+
+Idle maintenance: a compaction sweep runs on the worker pool only when
+no request is in flight, and no request starts executing until the sweep
+ends — admitted requests wait on the event loop, and that wait is queue
+wait, charged to their deadlines.  Compaction swaps a chain's model
+documents and then deletes the superseded delta payloads, so a recover
+running alongside could read a document from before the swap and miss
+its files.
 """
 
 from __future__ import annotations
@@ -90,6 +98,9 @@ class GatewayServer:
         }
         self._maintenance = maintenance
         self._idle_poll_s = idle_poll_s
+        #: Set by the idle loop while a maintenance sweep runs; requests
+        #: wait on it before they start executing.
+        self._sweep_done: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._thread: threading.Thread | None = None
@@ -279,6 +290,7 @@ class GatewayServer:
         try:
             assert self._loop is not None
             async with self._exec_slots[tenant_name]:
+                await self._wait_for_sweep(admitted_at, deadline_s)
                 result = await self._loop.run_in_executor(
                     self._executor,
                     self._execute,
@@ -307,6 +319,29 @@ class GatewayServer:
                 "mmlib_gateway_requests_total",
                 op=op, tenant=tenant_name, status=status,
             ).inc()
+
+    async def _wait_for_sweep(self, admitted_at: float, deadline_s) -> None:
+        """Hold an admitted request on the event loop while a sweep runs.
+
+        The wait is queue wait: it counts against the request's deadline,
+        and a budget that runs out here fails with the typed ``deadline``
+        error.  One wait suffices — the waiting request holds an
+        admission ticket, so the idle loop starts no new sweep.
+        """
+        sweep = self._sweep_done
+        if sweep is None:
+            return
+        if deadline_s is None:
+            await sweep.wait()
+            return
+        remaining = float(deadline_s) - (obs.clock().perf() - admitted_at)
+        try:
+            await asyncio.wait_for(sweep.wait(), max(remaining, 0.0))
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(
+                f"deadline budget of {float(deadline_s):.3f}s spent before "
+                "execution started (queue wait behind idle maintenance)"
+            ) from None
 
     # -- request execution (worker threads) --------------------------------
 
@@ -446,8 +481,15 @@ class GatewayServer:
                 continue
             if not self._maintenance.due():
                 continue
-            # compaction runs on the pool like any other storage work so
-            # the event loop keeps accepting (and shedding) during it
-            await self._loop.run_in_executor(
-                self._executor, self._maintenance.maybe_run
-            )
+            # close the gate before yielding to the loop: a request admitted
+            # from here on waits for the sweep instead of racing it.  The
+            # sweep runs on the pool like any other storage work, so the
+            # event loop keeps accepting (and shedding) during it.
+            self._sweep_done = asyncio.Event()
+            try:
+                await self._loop.run_in_executor(
+                    self._executor, self._maintenance.maybe_run
+                )
+            finally:
+                self._sweep_done.set()
+                self._sweep_done = None

@@ -34,6 +34,14 @@ def mem_doc_store():
     return DocumentStore()
 
 
+#: Segment packings that storage-invariant tests run under, keyed by test id.
+#: ``files`` rolls a new segment file after every append, so each chunk
+#: sits alone in its own sealed file and every save crosses segment rolls
+#: (footers, checkpoints, rebuild from many files); ``segments`` packs
+#: many chunks per file at the default segment size.
+SEGMENT_PACKINGS = {"files": 1, "segments": None}
+
+
 @pytest.fixture
 def file_store(tmp_path):
     return FileStore(tmp_path / "files")

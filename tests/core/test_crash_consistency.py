@@ -21,7 +21,7 @@ from repro.docstore import DocumentStore
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore
 from repro.retry import RetryPolicy
-from tests.conftest import make_tiny_cnn
+from tests.conftest import SEGMENT_PACKINGS, make_tiny_cnn
 
 
 def build_probe_model(num_classes=10):
@@ -43,15 +43,15 @@ def assert_states_equal(model, other):
 SERVICES = [BaselineSaveService, ParameterUpdateSaveService, ProvenanceSaveService]
 
 
-@pytest.fixture(params=["files", "segments"])
-def layout(request):
-    """Every crash matrix must hold on both chunk layouts."""
-    return request.param
+@pytest.fixture(params=list(SEGMENT_PACKINGS))
+def segment_bytes(request):
+    """Every crash matrix must hold on both segment packings."""
+    return SEGMENT_PACKINGS[request.param]
 
 
 class TestCrashMatrix:
     @pytest.mark.parametrize("service_cls", SERVICES)
-    def test_crash_at_every_step_is_repairable(self, service_cls, layout, tmp_path):
+    def test_crash_at_every_step_is_repairable(self, service_cls, segment_bytes, tmp_path):
         """Kill the save at op 1, 2, 3, ... until it finally runs to completion.
 
         After every crash: fsck detects damage and repairs to zero
@@ -61,7 +61,8 @@ class TestCrashMatrix:
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0,
+            segment_bytes=segment_bytes,
         )
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -95,11 +96,12 @@ class TestCrashMatrix:
         assert crash_points >= 5, f"only {crash_points} distinct crash points hit"
 
     @pytest.mark.parametrize("service_cls", SERVICES)
-    def test_each_crash_repairs_and_preserves_base(self, service_cls, layout, tmp_path):
+    def test_each_crash_repairs_and_preserves_base(self, service_cls, segment_bytes, tmp_path):
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
+            tmp_path / "files", faults=faults, tmp_grace_s=0.0,
+            segment_bytes=segment_bytes,
         )
         service = service_cls(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
@@ -141,13 +143,11 @@ class TestCrashMatrix:
 
 
 class TestPerCrashRepair:
-    def test_fsck_repairs_after_every_individual_crash(self, layout, tmp_path):
+    def test_fsck_repairs_after_every_individual_crash(self, tmp_path):
         """The exhaustive matrix: after *each* crash point, repair + verify."""
         faults = FaultInjector(seed=0)
         docs = FaultyDocumentStore(DocumentStore(), faults)
-        files = FileStore(
-            tmp_path / "files", faults=faults, tmp_grace_s=0.0, layout=layout
-        )
+        files = FileStore(tmp_path / "files", faults=faults, tmp_grace_s=0.0)
         service = BaselineSaveService(docs, files, scratch_dir=tmp_path / "scratch")
         manager = ModelManager(service)
 
@@ -183,7 +183,7 @@ class TestPerCrashRepair:
 class TestAllServicesRetryThroughChaos:
     @pytest.mark.parametrize("service_cls", SERVICES)
     def test_flaky_stores_still_save_and_recover_bitwise(
-        self, service_cls, layout, tmp_path
+        self, service_cls, tmp_path
     ):
         """ISSUE acceptance: >=10% transient error rates, bitwise round trip."""
         faults = FaultInjector(
@@ -192,8 +192,7 @@ class TestAllServicesRetryThroughChaos:
         retry = RetryPolicy(max_attempts=6, base_delay_s=0.0, sleep=lambda s: None)
         docs = FaultyDocumentStore(DocumentStore(), faults)
         files = FileStore(
-            tmp_path / "files", faults=faults, retry=retry, tmp_grace_s=0.0,
-            layout=layout,
+            tmp_path / "files", faults=faults, retry=retry, tmp_grace_s=0.0
         )
         service = service_cls(
             docs, files, scratch_dir=tmp_path / "scratch", retry=retry

@@ -13,7 +13,7 @@ from repro.core import (
 from repro.core.schema import ENVIRONMENTS
 from repro.docstore import DocumentStore
 from repro.filestore import FileStore
-from tests.conftest import make_tiny_cnn
+from tests.conftest import SEGMENT_PACKINGS, make_tiny_cnn
 
 
 def build_probe_model(num_classes=10):
@@ -27,10 +27,12 @@ def tiny_arch():
     )
 
 
-@pytest.fixture(params=["files", "segments"])
+@pytest.fixture(params=list(SEGMENT_PACKINGS))
 def file_store(tmp_path, request):
-    """Override the global fixture: fsck must hold on both chunk layouts."""
-    return FileStore(tmp_path / "files", layout=request.param)
+    """Override the global fixture: fsck must hold on both segment packings."""
+    return FileStore(
+        tmp_path / "files", segment_bytes=SEGMENT_PACKINGS[request.param]
+    )
 
 
 @pytest.fixture
@@ -47,13 +49,12 @@ def kinds(report):
 
 
 def destroy_chunk(files, digest):
-    """Layout-agnostic data loss: drop the stored payload out from under
-    the refcounts (unlink for file-per-chunk, index removal for segments)."""
+    """Data loss: drop the stored payload out from under the refcounts."""
     files.chunks.drop(digest)
 
 
 def flip_chunk_byte(files, digest):
-    """Layout-agnostic bit rot: flip the first stored payload byte in place."""
+    """Bit rot: flip the first stored payload byte in place."""
     path, offset, length = files.chunks.locate(digest)
     assert length > 0
     with open(path, "r+b") as fileobj:

@@ -21,6 +21,16 @@ def make_buffer(nbytes, seed=0):
     ).tobytes()
 
 
+def flip_middle_byte(store, digest):
+    """Bit rot: flip the middle byte of one chunk's stored payload."""
+    path, offset, length = store.chunks.locate(digest)
+    with open(path, "r+b") as fileobj:
+        fileobj.seek(offset + length // 2)
+        byte = fileobj.read(1)
+        fileobj.seek(offset + length // 2)
+        fileobj.write(bytes([byte[0] ^ 0xFF]))
+
+
 class TestSplitter:
     def test_spans_cover_buffer_exactly(self):
         data = make_buffer(500_000)
@@ -175,16 +185,11 @@ class TestV2Manifests:
         assert len(store.chunks) == 0
 
     def test_corrupt_chunk_detected_on_recovery(self, tmp_path):
-        store = FileStore(
-            tmp_path / "files", cdc=True, layout="files", verify_reads=True
-        )
+        store = FileStore(tmp_path / "files", cdc=True, verify_reads=True)
         file_id = self.save(store, self.state())
         manifest = store.read_manifest(file_id)
         digest = layer_chunk_digests(manifest["layers"][0][1])[0]
-        path = store.chunks.root / "objects" / digest
-        payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        path.write_bytes(bytes(payload))
+        flip_middle_byte(store, digest)
         with pytest.raises(StoreCorruptionError):
             store.recover_state_chunks(file_id, verify=True)
 
@@ -194,7 +199,7 @@ class TestV2Manifests:
         from repro.docstore import DocumentStore
         from tests.conftest import make_tiny_cnn
 
-        store = FileStore(tmp_path / "files", cdc=True, layout="files")
+        store = FileStore(tmp_path / "files", cdc=True)
         service = BaselineSaveService(DocumentStore(), store)
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
@@ -204,10 +209,7 @@ class TestV2Manifests:
         assert manager.fsck().clean
 
         digest = sorted(store.chunks.chunk_ids())[0]
-        path = store.chunks.root / "objects" / digest
-        payload = bytearray(path.read_bytes())
-        payload[len(payload) // 2] ^= 0xFF
-        path.write_bytes(bytes(payload))
+        flip_middle_byte(store, digest)
         report = manager.fsck(repair=False)
         assert "corrupt_chunk" in {issue.kind for issue in report.issues}
 

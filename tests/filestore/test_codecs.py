@@ -9,6 +9,7 @@ from repro.errors import StoreCorruptionError
 from repro.filestore import FileStore, available_codecs, resolve_codec
 from repro.filestore import codecs as chunk_codecs
 from repro.core.hashing import state_dict_hashes
+from tests.conftest import SEGMENT_PACKINGS
 
 
 def compressible(nbytes=200_000):
@@ -125,7 +126,7 @@ class TestCorruption:
             chunk_codecs.decode(frame)
 
 
-@pytest.mark.parametrize("layout", ["files", "segments"])
+@pytest.mark.parametrize("packing", list(SEGMENT_PACKINGS))
 class TestStoreIntegration:
     def state(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -134,8 +135,13 @@ class TestStoreIntegration:
             "sparse.weight": np.zeros(80_000, dtype=np.float32),
         }
 
-    def test_round_trip_and_accounting(self, tmp_path, layout):
-        store = FileStore(tmp_path / "files", layout=layout, codec="zlib")
+    def store(self, tmp_path, packing, **kwargs):
+        return FileStore(
+            tmp_path / "files", segment_bytes=SEGMENT_PACKINGS[packing], **kwargs
+        )
+
+    def test_round_trip_and_accounting(self, tmp_path, packing):
+        store = self.store(tmp_path, packing, codec="zlib")
         state = self.state()
         file_id = store.save_state_chunks(state, state_dict_hashes(state))
         recovered = store.recover_state_chunks(file_id, verify=True)
@@ -146,18 +152,18 @@ class TestStoreIntegration:
         assert stats["stored_bytes"] < stats["logical_bytes"]
         assert stats["compression_ratio"] > 1.0
 
-    def test_plain_store_reads_compressed_chunks(self, tmp_path, layout):
+    def test_plain_store_reads_compressed_chunks(self, tmp_path, packing):
         """Decode is frame-driven: a codec=none reader understands what a
         codec=zlib writer stored in the same directory."""
         state = self.state(seed=2)
-        writer = FileStore(tmp_path / "files", layout=layout, codec="zlib")
+        writer = self.store(tmp_path, packing, codec="zlib")
         file_id = writer.save_state_chunks(state, state_dict_hashes(state))
-        reader = FileStore(tmp_path / "files", layout=layout, codec="none")
+        reader = self.store(tmp_path, packing, codec="none")
         recovered = reader.recover_state_chunks(file_id, verify=True)
         for key in state:
             assert np.array_equal(recovered[key], state[key])
 
-    def test_fsck_clean_on_compressed_store(self, tmp_path, layout):
+    def test_fsck_clean_on_compressed_store(self, tmp_path, packing):
         from repro.core import ArchitectureRef, ModelManager, ModelSaveInfo
         from repro.core.baseline import BaselineSaveService
         from repro.docstore import DocumentStore
@@ -165,7 +171,7 @@ class TestStoreIntegration:
 
         service = BaselineSaveService(
             DocumentStore(),
-            FileStore(tmp_path / "files", layout=layout, codec="zlib"),
+            self.store(tmp_path, packing, codec="zlib"),
         )
         arch = ArchitectureRef.from_factory(
             "tests.conftest", "make_tiny_cnn", {"num_classes": 10}
@@ -174,10 +180,9 @@ class TestStoreIntegration:
         report = ModelManager(service).fsck()
         assert report.clean, report.summary()
 
-    def test_cdc_composes_with_compression(self, tmp_path, layout):
-        store = FileStore(
-            tmp_path / "files", layout=layout, codec="zlib",
-            cdc=True, cdc_target_bytes=16 * 1024,
+    def test_cdc_composes_with_compression(self, tmp_path, packing):
+        store = self.store(
+            tmp_path, packing, codec="zlib", cdc=True, cdc_target_bytes=16 * 1024
         )
         state = self.state(seed=3)
         file_id = store.save_state_chunks(state, state_dict_hashes(state))

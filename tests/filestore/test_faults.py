@@ -8,7 +8,7 @@ faults while leaving the on-disk state bitwise identical to a clean run.
 import numpy as np
 import pytest
 
-from repro.core.hashing import state_dict_hashes, tensor_hash
+from repro.core.hashing import state_dict_hashes
 from repro.errors import MMLibError, StoreCorruptionError, TransientStoreError
 from repro.faults import CrashPoint, FaultInjector, FaultyDocumentStore
 from repro.filestore import FileStore, NetworkModel, SimulatedNetworkFileStore
@@ -110,27 +110,6 @@ class TestRetryAbsorbsTransients:
         assert store.recover_bytes(blob_id) == b"side payload"
         assert faults.stats["errors"] > 0
         assert retry.retries_taken >= faults.stats["errors"]
-
-    def test_torn_write_leaves_tear_then_retry_converges(self, tmp_path):
-        faults = FaultInjector(seed=1, torn_write_rate=0.5)
-        retry = no_sleep_policy()
-        store = FileStore(
-            tmp_path / "s", faults=faults, retry=retry, tmp_grace_s=0.0,
-            layout="files",  # the *.tmp tear below is file-per-chunk specific
-        )
-        payload = np.arange(64, dtype=np.float32)
-        digest = tensor_hash(payload)
-        assert store.put_chunk(digest, payload.data) is True
-        assert faults.stats["torn_writes"] >= 1
-        # the tear persisted as a *.tmp alongside the real chunk...
-        tears = list(store.chunks.objects_dir.glob("*.tmp"))
-        assert tears, "torn write should leave a partial tmp file behind"
-        # ...and the converged chunk is intact despite it
-        assert store.chunks.get(digest) == payload.tobytes()
-        # with the grace window disabled, gc reaps every expired tear
-        store.chunks.add_refs([digest])
-        assert store.chunks.gc()["chunks_removed"] == len(tears)
-        assert store.chunks.has(digest)
 
     def test_corrupt_chunk_read_heals_via_refetch(self, tmp_path):
         faults = FaultInjector(seed=5, corrupt_rate=1.0, max_consecutive_failures=None)

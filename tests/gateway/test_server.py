@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro import deadline, obs
+from repro.core.compaction import ChainCompactor
 from repro.distsim.environment import SharedStores
 from repro.faults import FaultInjector
 from repro.gateway import (
@@ -27,6 +29,7 @@ from repro.gateway import (
     TenantQuota,
     TenantRegistry,
 )
+from repro.gateway import maintenance as maintenance_module
 from repro.gateway.maintenance import RECOVERY_DEPTH_GAUGE
 from repro.retry import RetryPolicy
 from repro.workloads.serving import serving_mlp
@@ -350,3 +353,70 @@ class TestIdleMaintenance:
             after = run(recover_again())
             assert after.recovery_depth < before.recovery_depth
             assert_states_bitwise_equal(after.state, states[-1])
+
+    def test_recover_waits_for_a_running_sweep(self, tmp_path, monkeypatch):
+        """A recover admitted mid-sweep starts only after the sweep ends.
+
+        The sweep is held at the compaction commit point, right before the
+        chain's model document is swapped and its superseded delta payload
+        deleted: a recover executing now would read the pre-swap document.
+        The wait is queue wait, so a short budget expires in it, typed.
+        """
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold_at_commit(op):
+            if op == "compact.commit":
+                held.set()
+                release.wait(timeout=30)
+
+        class HeldCompactor(ChainCompactor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.fault_hook = hold_at_commit
+
+        monkeypatch.setattr(maintenance_module, "ChainCompactor", HeldCompactor)
+        registry = make_registry(tmp_path, tenants={"acme": TenantQuota()})
+        maintenance = IdleMaintenance(registry, max_depth=3, min_interval_s=0.0)
+        states = [mlp_state(step) for step in range(6)]
+        server = GatewayServer(registry, maintenance=maintenance, idle_poll_s=0.01)
+        started_mid_sweep = []
+        recover = server._op_recover
+
+        def recording_recover(request, tenant):
+            started_mid_sweep.append(not release.is_set())
+            return recover(request, tenant)
+
+        server._op_recover = recording_recover
+        with server:
+            try:
+                async def build_chain():
+                    async with AsyncGatewayClient(*server.address, "acme") as client:
+                        base = None
+                        for state in states:
+                            base = await client.save_model(
+                                FACTORY, state=state, base=base)
+                        return base
+
+                tip_id = run(build_chain())
+                # force a sweep: arm the recovery-depth trigger past K
+                obs.registry().gauge(RECOVERY_DEPTH_GAUGE).set(5)
+                assert held.wait(timeout=15), "the sweep never reached its commit"
+
+                async def recover_during_sweep():
+                    async with AsyncGatewayClient(*server.address, "acme") as client:
+                        task = asyncio.create_task(client.recover_model(tip_id))
+                        with pytest.raises(GatewayRetryableError) as expired:
+                            await client.find(deadline_s=0.3)
+                        done_mid_sweep = task.done()
+                        release.set()
+                        return expired.value.kind, done_mid_sweep, await task
+
+                kind, done_mid_sweep, recovered = run(recover_during_sweep())
+            finally:
+                release.set()
+        assert kind == "deadline"
+        assert not done_mid_sweep
+        assert started_mid_sweep == [False]
+        assert maintenance.runs == 1 and maintenance.compacted_models >= 1
+        assert_states_bitwise_equal(recovered.state, states[-1])
